@@ -16,11 +16,17 @@
 // on -workers goroutines; results are collected by index, so the output
 // is byte-identical for every worker count.
 //
+// -fast starts from the LeNet-scale budget (4 probes, 400 samples, 3
+// epochs); -probes, -samples, -epochs and -seed given alongside it
+// override that budget.
+//
 // -timeout bounds the whole run with a context deadline; -checkpoint
 // records completed experiments in a JSON file so an interrupted -all
 // run resumes where it stopped instead of redoing finished work. The
 // fig10 and faults sweeps additionally checkpoint each finished model,
-// so even a single interrupted experiment resumes mid-sweep.
+// so even a single interrupted experiment resumes mid-sweep. The file
+// records a fingerprint of the result-shaping options; a run with other
+// options ignores it (with a warning) and starts fresh.
 // -cpuprofile/-memprofile write pprof profiles of the run.
 //
 // The large models (VGG-16, Inception-v3, ResNet50) take minutes and
@@ -30,7 +36,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -42,8 +50,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
+	"repro/internal/accel"
 	"repro/internal/atomicio"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -84,28 +95,34 @@ func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 // completed, plus per-model intermediate results stored by the heavy
 // sweeps (fig10, faults) through the experiments.Checkpoint interface,
 // so an interrupted run resumes mid-sweep instead of per experiment. The
-// on-disk form is a JSON object {"done": [...], "models": {...}}; the
-// legacy plain name-array format from earlier releases is still read.
+// on-disk form is a JSON object {"config": ..., "done": [...],
+// "models": {...}}, where config is the optionsFingerprint of the run
+// that wrote it.
 type checkpointFile struct {
 	mu     sync.Mutex
 	path   string
+	config string
 	done   map[string]bool
 	models map[string]json.RawMessage
 }
 
 // checkpointDoc is the on-disk object form.
 type checkpointDoc struct {
+	Config string                     `json:"config"`
 	Done   []string                   `json:"done"`
 	Models map[string]json.RawMessage `json:"models,omitempty"`
 }
 
-// loadCheckpoint reads the checkpoint (a missing file is an empty one).
-// A file that does not parse — truncated by a crash predating atomic
-// writes, or hand-mangled — is detected and ignored with a warning, not
-// half-loaded: resuming from scratch is always correct, resuming from a
-// partial parse is not.
-func loadCheckpoint(path string) (*checkpointFile, error) {
-	cp := &checkpointFile{path: path, done: map[string]bool{}, models: map[string]json.RawMessage{}}
+// loadCheckpoint reads the checkpoint for a run whose options have the
+// given fingerprint (a missing file is an empty checkpoint). A file that
+// was written under other options, or carries no fingerprint, holds
+// results this run would not reproduce; one that does not parse —
+// truncated by a crash predating atomic writes, or hand-mangled — cannot
+// be trusted either. Both are ignored with a warning, not half-loaded:
+// resuming from scratch is always correct, resuming from stale or
+// partial results is not.
+func loadCheckpoint(path, config string) (*checkpointFile, error) {
+	cp := &checkpointFile{path: path, config: config, done: map[string]bool{}, models: map[string]json.RawMessage{}}
 	if path == "" {
 		return cp, nil
 	}
@@ -116,22 +133,45 @@ func loadCheckpoint(path string) (*checkpointFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	if err := json.Unmarshal(data, &names); err != nil {
-		var doc checkpointDoc
-		if err := json.Unmarshal(data, &doc); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: checkpoint %s is corrupt (%v); ignoring it and starting fresh\n", path, err)
-			return cp, nil
-		}
-		names = doc.Done
-		for k, v := range doc.Models {
-			cp.models[k] = v
-		}
+	var doc checkpointDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: checkpoint %s is corrupt (%v); ignoring it and starting fresh\n", path, err)
+		return cp, nil
 	}
-	for _, n := range names {
+	if doc.Config != config {
+		fmt.Fprintf(os.Stderr, "benchtables: checkpoint %s was written with different options (config %q, this run %q); ignoring it and starting fresh\n", path, doc.Config, config)
+		return cp, nil
+	}
+	for _, n := range doc.Done {
 		cp.done[n] = true
 	}
+	for k, v := range doc.Models {
+		cp.models[k] = v
+	}
 	return cp, nil
+}
+
+// optionsFingerprint digests the options that shape experiment results:
+// seed, fast mode, training budget, probes, model filter, fault-rate
+// grid, storage model and platform configuration. Workers, the deadline,
+// the checkpoint and observability change no result and are left out.
+func optionsFingerprint(o experiments.Options) (string, error) {
+	data, err := json.Marshal(struct {
+		Seed         int64
+		Fast         bool
+		TrainSamples int
+		TrainEpochs  int
+		Probes       int
+		Models       []string
+		FaultRates   []float64
+		Storage      core.StorageModel
+		Accel        accel.Config
+	}{o.Seed, o.Fast, o.TrainSamples, o.TrainEpochs, o.Probes, o.Models, o.FaultRates, o.Storage, o.Accel})
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // save persists the checkpoint atomically and durably (write-to-temp in
@@ -141,7 +181,7 @@ func (cp *checkpointFile) save() error {
 	if cp.path == "" {
 		return nil
 	}
-	doc := checkpointDoc{Done: make([]string, 0, len(cp.done)), Models: cp.models}
+	doc := checkpointDoc{Config: cp.config, Done: make([]string, 0, len(cp.done)), Models: cp.models}
 	for n := range cp.done {
 		doc.Done = append(doc.Done, n)
 	}
@@ -190,50 +230,76 @@ func (cp *checkpointFile) Store(key string, val any) error {
 	return cp.save()
 }
 
-func main() {
-	var (
-		experiment = flag.String("experiment", "all", "which table/figure to regenerate")
-		modelsFlag = flag.String("models", "", "comma-separated model filter (default: the paper's set)")
-		probes     = flag.Int("probes", 8, "probe inputs for the top-5 fidelity metric")
-		seed       = flag.Int64("seed", 2020, "deterministic seed")
-		epochs     = flag.Int("epochs", 10, "LeNet-5 training epochs")
-		samples    = flag.Int("samples", 2000, "LeNet-5 training samples")
-		fast       = flag.Bool("fast", false, "LeNet-scale smoke run")
-		csvOut     = flag.String("csv", "", "also write machine-readable CSVs to this directory")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent workers (output is identical for any value)")
-		timeout    = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
-		checkpoint = flag.String("checkpoint", "", "JSON file recording completed experiments and per-model sweep results; resumed runs skip them")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+// cliConfig is the parsed command line.
+type cliConfig struct {
+	experiment, csv, checkpoint          string
+	cpuprofile, memprofile               string
+	tracePath, metricsPath, manifestPath string
+	timeout                              time.Duration
+	opts                                 experiments.Options
+}
 
-		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON (open at ui.perfetto.dev) to this file")
-		metricsPath  = flag.String("metrics", "", "write the metrics snapshot to this file (.csv extension selects CSV, else text)")
-		manifestPath = flag.String("manifest", "", "write a reproducibility manifest (JSON) to this file")
-	)
-	flag.Parse()
-	csvDir = *csvOut
+// parseFlags parses the command line into the experiment options. -fast
+// selects experiments.FastOptions as the base configuration, otherwise
+// DefaultOptions; -seed, -probes, -epochs and -samples override the base
+// only when given, so their defaults never undo -fast's budget.
+func parseFlags(args []string) cliConfig {
+	fs := flag.NewFlagSet("benchtables", flag.ExitOnError)
+	var c cliConfig
+	full, small := experiments.DefaultOptions(), experiments.FastOptions()
+	fs.StringVar(&c.experiment, "experiment", "all", "which table/figure to regenerate")
+	modelsFlag := fs.String("models", "", "comma-separated model filter (default: the paper's set)")
+	probes := fs.Int("probes", full.Probes, fmt.Sprintf("probe inputs for the top-5 fidelity metric (-fast: %d)", small.Probes))
+	seed := fs.Int64("seed", full.Seed, "deterministic seed")
+	epochs := fs.Int("epochs", full.TrainEpochs, fmt.Sprintf("LeNet-5 training epochs (-fast: %d)", small.TrainEpochs))
+	samples := fs.Int("samples", full.TrainSamples, fmt.Sprintf("LeNet-5 training samples (-fast: %d)", small.TrainSamples))
+	fast := fs.Bool("fast", false, "LeNet-scale smoke run")
+	fs.StringVar(&c.csv, "csv", "", "also write machine-readable CSVs to this directory")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent workers (output is identical for any value)")
+	fs.DurationVar(&c.timeout, "timeout", 0, "abort the run after this long (0 = no deadline)")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "JSON file recording completed experiments and per-model sweep results; resumed runs with the same options skip them")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&c.tracePath, "trace", "", "write a Chrome trace-event JSON (open at ui.perfetto.dev) to this file")
+	fs.StringVar(&c.metricsPath, "metrics", "", "write the metrics snapshot to this file (.csv extension selects CSV, else text)")
+	fs.StringVar(&c.manifestPath, "manifest", "", "write a reproducibility manifest (JSON) to this file")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with usage
+
+	c.opts = full
+	if *fast {
+		c.opts = small
+	}
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "seed":
+			c.opts.Seed = *seed
+		case "probes":
+			c.opts.Probes = *probes
+		case "epochs":
+			c.opts.TrainEpochs = *epochs
+		case "samples":
+			c.opts.TrainSamples = *samples
+		}
+	})
+	if *modelsFlag != "" {
+		c.opts.Models = strings.Split(*modelsFlag, ",")
+	}
+	c.opts.Workers = *workers
+	return c
+}
+
+func main() {
+	cli := parseFlags(os.Args[1:])
+	csvDir = cli.csv
+	opts := cli.opts
 
 	// The matmul-heavy experiments depend on which saxpy kernel the CPU
 	// dispatch picked; record it so runs on different machines compare.
 	fmt.Printf("matmul kernel: %s (available: %s; force with VECMM=off|sse2|avx2|fma)\n",
 		tensor.MatMulKernel(), strings.Join(tensor.MatMulKernels(), ","))
 
-	opts := experiments.DefaultOptions()
-	opts.Seed = *seed
-	opts.Probes = *probes
-	opts.TrainEpochs = *epochs
-	opts.TrainSamples = *samples
-	opts.Fast = *fast
-	if *fast {
-		opts = experiments.FastOptions()
-		opts.Seed = *seed
-	}
-	if *modelsFlag != "" {
-		opts.Models = strings.Split(*modelsFlag, ",")
-	}
-	opts.Workers = *workers
-	if *timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	if cli.timeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), cli.timeout)
 		defer cancel()
 		opts.Context = ctx
 	}
@@ -253,28 +319,32 @@ func main() {
 	}
 	order := []string{"table1", "table2", "fig2", "fig3", "fig9", "fig10", "table3", "mixed", "overlap", "faults", "cluster"}
 
-	cp, err := loadCheckpoint(*checkpoint)
+	config, err := optionsFingerprint(opts)
 	if err != nil {
 		fatal(err)
 	}
-	if *checkpoint != "" {
+	cp, err := loadCheckpoint(cli.checkpoint, config)
+	if err != nil {
+		fatal(err)
+	}
+	if cli.checkpoint != "" {
 		// Per-model resume inside the heavy sweeps (fig10, faults): the
 		// checkpoint file doubles as the experiments.Checkpoint store.
 		opts.Checkpoint = cp
 	}
-	if *tracePath != "" || *metricsPath != "" || *manifestPath != "" {
+	if cli.tracePath != "" || cli.metricsPath != "" || cli.manifestPath != "" {
 		opts.Obs = obs.New()
 	}
-	stopProf, err := startProfiles(*cpuprofile, *memprofile)
+	stopProf, err := startProfiles(cli.cpuprofile, cli.memprofile)
 	if err != nil {
 		fatal(err)
 	}
-	runErr := runExperiments(*experiment, order, runners, cp, opts)
+	runErr := runExperiments(cli.experiment, order, runners, cp, opts)
 	stopProf()
 	if runErr != nil {
 		fatal(runErr)
 	}
-	if err := writeObsOutputs(opts, *experiment, *tracePath, *metricsPath, *manifestPath); err != nil {
+	if err := writeObsOutputs(opts, cli.experiment, cli.tracePath, cli.metricsPath, cli.manifestPath); err != nil {
 		fatal(err)
 	}
 }

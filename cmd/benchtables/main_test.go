@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/experiments"
@@ -94,7 +95,7 @@ func captureOutput(t *testing.T, run func(experiments.Options) error, opts exper
 // never half-loaded.
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
-	cp, err := loadCheckpoint(path)
+	cp, err := loadCheckpoint(path, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	re, err := loadCheckpoint(path)
+	re, err := loadCheckpoint(path, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := loadCheckpoint(path)
+	fresh, err := loadCheckpoint(path, testConfig)
 	if err != nil {
 		t.Fatalf("corrupt checkpoint treated as fatal: %v", err)
 	}
@@ -125,7 +126,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// The empty path disables persistence but still tracks in memory.
-	mem, err := loadCheckpoint("")
+	mem, err := loadCheckpoint("", testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,5 +135,31 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !mem.done["fig3"] {
 		t.Fatal("in-memory mark lost")
+	}
+}
+
+// TestParseFlagsFastKeepsExplicitBudget: -fast selects FastOptions, and
+// -probes, -epochs, -samples and -seed override it only when given.
+func TestParseFlagsFastKeepsExplicitBudget(t *testing.T) {
+	withWorkers := func(o experiments.Options, w int) experiments.Options {
+		o.Workers = w
+		return o
+	}
+	fastSet := experiments.FastOptions()
+	fastSet.Seed, fastSet.Probes, fastSet.TrainEpochs, fastSet.TrainSamples = 9, 6, 2, 300
+	full := experiments.DefaultOptions()
+	full.TrainEpochs = 4
+	for _, tc := range []struct {
+		args []string
+		want experiments.Options
+	}{
+		{[]string{"-fast", "-workers", "2"}, withWorkers(experiments.FastOptions(), 2)},
+		{[]string{"-fast", "-probes", "6", "-epochs", "2", "-samples", "300", "-seed", "9", "-workers", "1"}, withWorkers(fastSet, 1)},
+		{[]string{"-workers", "3"}, withWorkers(experiments.DefaultOptions(), 3)},
+		{[]string{"-epochs", "4", "-workers", "3"}, withWorkers(full, 3)},
+	} {
+		if got := parseFlags(tc.args).opts; !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("parseFlags(%q):\n got %+v\nwant %+v", tc.args, got, tc.want)
+		}
 	}
 }

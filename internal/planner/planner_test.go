@@ -3,6 +3,7 @@ package planner
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/codecs"
@@ -13,33 +14,82 @@ import (
 	"repro/internal/train"
 )
 
-// trainedLeNet returns a quickly trained LeNet with its test set.
+// lenetFixture is the quickly trained LeNet the greedy tests search
+// over, trained once per test binary (training is deterministic, which
+// internal/train's TestFitDeterministic pins).
+var lenetFixture struct {
+	once    sync.Once
+	params  [][]float32 // trained parameter values in layer order
+	testSet []dataset.Sample
+	err     error
+}
+
+// trainedLeNet returns a freshly built LeNet with the fixture's trained
+// weights copied in, and the test set. Each caller owns its model, since
+// the planner rewrites weights in place.
 func trainedLeNet(t *testing.T) (*models.Model, []dataset.Sample) {
 	t.Helper()
+	f := &lenetFixture
+	f.once.Do(func() {
+		var m *models.Model
+		m, f.testSet, f.err = trainLeNet()
+		if f.err == nil {
+			for _, p := range lenetParams(m) {
+				f.params = append(f.params, append([]float32(nil), p...))
+			}
+		}
+	})
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
 	m, err := models.LeNet5(7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, p := range lenetParams(m) {
+		copy(p, f.params[i])
+	}
+	return m, f.testSet
+}
+
+// trainLeNet trains LeNet-5 for three epochs on 450 digits.
+func trainLeNet() (*models.Model, []dataset.Sample, error) {
+	m, err := models.LeNet5(7)
+	if err != nil {
+		return nil, nil, err
+	}
 	samples, err := dataset.Digits(450, 7)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	trainSet, testSet, err := dataset.Split(samples, 0.25)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	opt, err := train.NewSGD(0.05, 0.9)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	tr, err := train.NewTrainer(m.Graph, opt, 16)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	if _, err := tr.Fit(trainSet, 3); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	return m, testSet
+	return m, testSet, nil
+}
+
+// lenetParams lists the data of every parameter tensor of m in layer
+// order.
+func lenetParams(m *models.Model) [][]float32 {
+	var out [][]float32
+	for _, l := range m.Graph.Layers() {
+		for _, p := range l.Params() {
+			out = append(out, p.T.Data)
+		}
+	}
+	return out
 }
 
 func TestGreedyValidation(t *testing.T) {

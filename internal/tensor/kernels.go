@@ -122,26 +122,25 @@ func Im2ColInto(dst []float32, x *Tensor, kh, kw, stride, padH, padW int) (int, 
 	row := 0
 	for oy := 0; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
+			// The taps kx in [kxLo, kxHi) land inside the input. Their
+			// pixels are adjacent in both x (channels-last) and the row
+			// being written, so each kernel row is one copy framed by
+			// zeroed padding.
+			ix0 := ox*stride - padW
+			kxLo := min(max(-ix0, 0), kw)
+			kxHi := max(min(w-ix0, kw), kxLo)
 			drow := dst[row*rowLen : (row+1)*rowLen]
-			di := 0
 			for ky := 0; ky < kh; ky++ {
+				seg := drow[ky*kw*c : (ky+1)*kw*c]
 				iy := oy*stride + ky - padH
-				if iy < 0 || iy >= h {
-					clear(drow[di : di+kw*c])
-					di += kw * c
+				if iy < 0 || iy >= h || kxLo == kxHi {
+					clear(seg)
 					continue
 				}
-				for kx := 0; kx < kw; kx++ {
-					ix := ox*stride + kx - padW
-					if ix < 0 || ix >= w {
-						clear(drow[di : di+c])
-						di += c
-						continue
-					}
-					src := x.Data[(iy*w+ix)*c : (iy*w+ix)*c+c]
-					copy(drow[di:di+c], src)
-					di += c
-				}
+				clear(seg[:kxLo*c])
+				src := (iy*w + ix0 + kxLo) * c
+				copy(seg[kxLo*c:kxHi*c], x.Data[src:src+(kxHi-kxLo)*c])
+				clear(seg[kxHi*c:])
 			}
 			row++
 		}

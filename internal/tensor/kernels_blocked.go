@@ -12,8 +12,11 @@
 // keep the four unrolled terms as four sequential mul+add pairs per
 // element (MULPS/ADDPS and VMULPS/VADDPS are lane-independent IEEE
 // binary32 operations; no FMA contraction, no reassociation), so every
-// vector lane reproduces the scalar rounding sequence exactly. The
-// zero-skip branches are taken here in Go before entering any assembly,
+// vector lane reproduces the scalar rounding sequence exactly. The four
+// terms of one saxpy4 call are the next four *nonzero* a terms in
+// ascending p, not necessarily four adjacent p's: zeros are dropped from
+// the group, never added as 0*b. That zero-skip is decided here in Go
+// before entering any assembly,
 // matching the reference kernel's skip behaviour (relevant for signed
 // zeros and Inf/NaN propagation: 0*Inf would introduce a NaN the
 // reference kernel never sees). Only the FMA kernel — never selected by
@@ -28,9 +31,15 @@ package tensor
 // matches the reference ikj kernel exactly (including the skip of zero
 // a-elements, which contribute no term there either).
 //
-// The inner kernel additionally unrolls four consecutive p terms into one
-// j-sweep, which saves three quarters of the dst loads and stores. Any
-// zero among the four falls back to the per-p loop with its zero skip.
+// The inner kernel gathers the next four nonzero a terms of the k-block,
+// in ascending p, into one saxpy4 j-sweep, which saves three quarters of
+// the dst loads and stores. Because saxpy4 applies its four terms as
+// sequential mul+add pairs, a group whose p's are not adjacent adds the
+// same terms in the same order as the per-p loop; zeros between them are
+// skipped here exactly as the reference skips them. Post-ReLU im2col rows
+// (LeNet's conv GEMMs) are full of zeros, so this keeps them on the wide
+// kernel instead of one scalar call per term. The fewer than four
+// nonzero terms left at the end of a k-block go through saxpy1.
 func matMulBlocked(dst, a, b []float32, rowLo, rowHi, k, n, tileI, tileK, tileJ int) {
 	if tileI < 1 {
 		tileI = defaultTileI
@@ -49,37 +58,32 @@ func matMulBlocked(dst, a, b []float32, rowLo, rowHi, k, n, tileI, tileK, tileJ 
 			for jj := 0; jj < n; jj += tileJ {
 				jMax := min(jj+tileJ, n)
 				for i := ii; i < iMax; i++ {
-					abase := i * k
+					arow := a[i*k : i*k+kMax]
 					orow := dst[i*n+jj : i*n+jMax]
-					p := kk
-					for ; p+3 < kMax; p += 4 {
-						a0, a1, a2, a3 := a[abase+p], a[abase+p+1], a[abase+p+2], a[abase+p+3]
-						if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-							b0 := b[(p+0)*n+jj : (p+0)*n+jMax]
-							b1 := b[(p+1)*n+jj : (p+1)*n+jMax][:len(b0)]
-							b2 := b[(p+2)*n+jj : (p+2)*n+jMax][:len(b0)]
-							b3 := b[(p+3)*n+jj : (p+3)*n+jMax][:len(b0)]
-							saxpy4(orow, a0, a1, a2, a3, b0, b1, b2, b3)
-						} else {
-							matMulTail(orow, a, b, abase, p, p+4, n, jj, jMax, saxpy1)
+					var ps [4]int
+					np := 0
+					for p := kk; p < kMax; p++ {
+						if arow[p] == 0 {
+							continue
+						}
+						ps[np] = p
+						np++
+						if np == 4 {
+							p0, p1, p2, p3 := ps[0], ps[1], ps[2], ps[3]
+							b0 := b[p0*n+jj : p0*n+jMax]
+							b1 := b[p1*n+jj : p1*n+jMax][:len(b0)]
+							b2 := b[p2*n+jj : p2*n+jMax][:len(b0)]
+							b3 := b[p3*n+jj : p3*n+jMax][:len(b0)]
+							saxpy4(orow, arow[p0], arow[p1], arow[p2], arow[p3], b0, b1, b2, b3)
+							np = 0
 						}
 					}
-					matMulTail(orow, a, b, abase, p, kMax, n, jj, jMax, saxpy1)
+					for _, p := range ps[:np] {
+						saxpy1(orow, arow[p], b[p*n+jj:p*n+jMax])
+					}
 				}
 			}
 		}
-	}
-}
-
-// matMulTail applies the reference per-p accumulation (with the zero
-// skip) for p in [pLo, pHi) against one destination row segment.
-func matMulTail(orow, a, b []float32, abase, pLo, pHi, n, jj, jMax int, saxpy1 func([]float32, float32, []float32)) {
-	for p := pLo; p < pHi; p++ {
-		av := a[abase+p]
-		if av == 0 {
-			continue
-		}
-		saxpy1(orow, av, b[p*n+jj:p*n+jMax])
 	}
 }
 

@@ -10,6 +10,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -216,6 +217,26 @@ func TestMatMulKernelsBitIdentical(t *testing.T) {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 				t.Fatalf("kernel %s diverges at element %d: got %v, want %v",
 					name, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+
+	// The sparse operands, at the default tiles and at tiles that put a
+	// k-tile edge inside most groups of four nonzero terms.
+	for _, c := range sparseCases() {
+		for _, tk := range []int{0, 5} {
+			if err := SetMatMulKernel(KernelGeneric); err != nil {
+				t.Fatal(err)
+			}
+			want := c.run(t, 0, tk, 0)
+			for _, name := range MatMulKernels() {
+				if name == KernelGeneric || name == KernelFMA {
+					continue
+				}
+				if err := SetMatMulKernel(name); err != nil {
+					t.Fatal(err)
+				}
+				assertBitIdentical(t, c.run(t, 0, tk, 0), want, fmt.Sprintf("kernel %s, %s, tileK %d", name, c.name, tk))
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package train
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -369,5 +371,51 @@ func TestFidelityOverlap(t *testing.T) {
 	}
 	if _, err := f.OverlapFrom(g, acts[:2], "fc2"); err == nil {
 		t.Error("cache mismatch should error")
+	}
+}
+
+// TestFitDeterministic pins the property the experiments' trained-LeNet
+// memo and the planner tests' shared training rely on: two fresh LeNet-5
+// trainings from one seed end with Float32bits-identical parameters.
+func TestFitDeterministic(t *testing.T) {
+	samples, err := dataset.Digits(120, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := func() []uint32 {
+		m, err := models.LeNet5(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := NewSGD(0.05, 0.9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewTrainer(m.Graph, opt, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.LRDecay = 0.85
+		if _, err := tr.Fit(samples, 2); err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint32
+		for _, l := range m.Graph.Layers() {
+			for _, p := range l.Params() {
+				for _, v := range p.T.Data {
+					bits = append(bits, math.Float32bits(v))
+				}
+			}
+		}
+		return bits
+	}
+	a, b := fit(), fit()
+	if len(a) != len(b) {
+		t.Fatalf("parameter counts differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("parameter %d differs between identical trainings: %08x vs %08x", i, a[i], b[i])
+		}
 	}
 }
